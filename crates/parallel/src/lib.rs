@@ -10,11 +10,12 @@
 //!   injector queue,
 //! * [`ThreadPool::scope`] — structured (scoped) task spawning so tasks may
 //!   borrow from the caller's stack,
-//! * [`parallel_for`] / [`parallel_for_chunks`] — OpenMP-`parallel for`
-//!   style index-range sharing,
-//! * [`parallel_map_reduce`] — chunked map + sequential combine,
 //! * slice helpers ([`par_chunks_mut`], [`par_zip_chunks_mut`]) used by the
-//!   GEMM and trace-update kernels in `bcpnn-tensor` / `bcpnn-backend`.
+//!   GEMM, softmax, element-wise and trace-update kernels in
+//!   `bcpnn-tensor` / `bcpnn-backend`. Like OpenMP's `schedule(static)`,
+//!   a call splits its slice into at most one contiguous band of whole
+//!   chunks per worker: the calling thread runs the first band, the pool
+//!   runs the rest (one queued task each), and small slices run inline.
 //!
 //! A global pool (lazily created, sized from `BCPNN_NUM_THREADS` or the
 //! number of available cores) is available through [`global_pool`], which is
@@ -23,10 +24,11 @@
 //! ## Example
 //!
 //! ```
-//! use bcpnn_parallel::{global_pool, parallel_for, par_chunks_mut};
+//! use bcpnn_parallel::{global_pool, par_chunks_mut};
 //!
-//! let mut data = vec![0u64; 10_000];
-//! // Square every index in parallel.
+//! let mut data = vec![0u64; 100_000];
+//! // Square every index; each of the (at most `num_threads`) bands calls
+//! // the closure once per 1024-element chunk, with that chunk's offset.
 //! par_chunks_mut(&mut data, 1024, |start, chunk| {
 //!     for (i, v) in chunk.iter_mut().enumerate() {
 //!         *v = ((start + i) as u64).pow(2);
@@ -34,22 +36,16 @@
 //! });
 //! assert_eq!(data[100], 10_000);
 //! assert!(global_pool().num_threads() >= 1);
-//! parallel_for(0, data.len(), |_i| { /* side-effect free body */ });
 //! ```
 
 #![warn(missing_docs)]
 
 mod config;
-mod partition;
 mod pool;
 mod scope;
 mod slice_ops;
 
 pub use config::{PoolConfig, NUM_THREADS_ENV};
-pub use partition::{chunk_ranges, even_ranges, Range};
 pub use pool::{global_pool, ThreadPool};
 pub use scope::Scope;
-pub use slice_ops::{
-    par_chunks_mut, par_map_collect, par_zip_chunks_mut, parallel_for, parallel_for_chunks,
-    parallel_map_reduce,
-};
+pub use slice_ops::{par_chunks_mut, par_zip_chunks_mut};

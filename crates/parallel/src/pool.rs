@@ -16,10 +16,10 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// Jobs are injected into a shared MPMC channel; idle workers block on the
 /// channel. The pool supports *scoped* execution ([`ThreadPool::scope`]),
-/// which is what all the higher-level `parallel_for`-style helpers in this
-/// crate are built on. While waiting for a scope to complete, the waiting
-/// thread *helps* by draining jobs from the shared queue, so nested
-/// parallelism (a task that itself spawns a scope) cannot deadlock the pool.
+/// which is what the band-scheduled [`ThreadPool::par_chunks_mut`] is built
+/// on. While waiting for a scope to complete, the waiting thread *helps* by
+/// draining jobs from the shared queue, so nested parallelism (a task that
+/// itself spawns a scope) cannot deadlock the pool.
 pub struct ThreadPool {
     sender: Sender<Job>,
     receiver: Receiver<Job>,
@@ -164,7 +164,8 @@ impl Drop for ThreadPool {
 
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
 
-/// The process-wide pool used by the `parallel_for`-style helpers.
+/// The process-wide pool behind the free slice helpers such as
+/// [`crate::par_chunks_mut`].
 ///
 /// Created lazily on first use with [`PoolConfig::default`], i.e. sized by
 /// `BCPNN_NUM_THREADS` or the number of available cores.

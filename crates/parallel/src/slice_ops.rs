@@ -1,107 +1,93 @@
-//! OpenMP-style loop and slice parallelism built on [`crate::ThreadPool::scope`].
+//! OpenMP-style slice parallelism built on [`crate::ThreadPool::scope`].
 //!
-//! All helpers fall back to plain sequential execution when the problem is
-//! small or when the global pool has a single thread, so they are safe to
-//! call unconditionally from inner layers of the library.
+//! A call splits its slice into at most one contiguous *band* per worker,
+//! like OpenMP's `schedule(static)`: the pool queues one task per band
+//! beyond the first, and the calling thread runs the first band itself.
+//! Small slices run inline, so the helpers are safe to call unconditionally
+//! from inner layers of the library.
 
-use crate::partition::{chunk_ranges, even_ranges, Range};
-use crate::pool::global_pool;
+use crate::pool::{global_pool, ThreadPool};
 
-/// Problems smaller than this run sequentially: the work per element in the
-/// BCPNN kernels is tiny, so parallelising very small loops only adds
-/// scheduling overhead.
-const SEQUENTIAL_CUTOFF: usize = 512;
-
-/// Parallel `for i in 0..len { f(i) }` with automatic chunking.
+/// Slices with fewer elements than this run inline on the calling thread.
 ///
-/// `f` must be safe to call concurrently from several threads.
-pub fn parallel_for<F>(start: usize, end: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let len = end.saturating_sub(start);
-    if len == 0 {
-        return;
-    }
-    let pool = global_pool();
-    if len < SEQUENTIAL_CUTOFF || pool.num_threads() == 1 {
-        for i in start..end {
-            f(i);
+/// Tiny calls, such as a class softmax over a 64-row batch (128 elements),
+/// cost less than a queued band. Chosen by measurement on the `train_higgs`
+/// benchmark workload (see `CHANGES.md`): at 16 Ki the 1024 x 2 readout
+/// trace and gradient GEMMs (2048 elements, each a batch-long dot product)
+/// ran inline and their training steps took about 1.45x the wall time.
+const INLINE_ELEMS: usize = 1024;
+
+impl ThreadPool {
+    /// Apply `f(start_index, chunk)` to consecutive `chunk`-sized pieces of
+    /// `data` (the last may be shorter), where `start_index` is the index
+    /// of the piece's first element in `data`.
+    ///
+    /// The pieces are grouped into at most [`ThreadPool::num_threads`]
+    /// contiguous bands of whole pieces. Each band calls `f` once per piece,
+    /// in order; the calling thread runs the first band and the pool runs
+    /// the rest. A slice shorter than the inline threshold, or one that
+    /// fits in a single band, never touches the queue. `f` sees the same
+    /// `(start_index, chunk)` pairs as a sequential loop for any thread
+    /// count.
+    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let chunk = chunk.max(1);
+        let n_chunks = data.len().div_ceil(chunk);
+        let bands = self.num_threads().min(n_chunks);
+        if bands <= 1 || data.len() < INLINE_ELEMS {
+            run_band(data, 0, chunk, &f);
+            return;
         }
-        return;
+        // Only the last band can end in a short piece.
+        let band_len = |b: usize| band_pieces(n_chunks, bands, b) * chunk;
+        let f = &f;
+        self.scope(|s| {
+            let (first, mut rest) = data.split_at_mut(band_len(0));
+            let mut start = first.len();
+            for b in 1..bands {
+                let take = band_len(b).min(rest.len());
+                let (band, tail) = std::mem::take(&mut rest).split_at_mut(take);
+                rest = tail;
+                s.spawn(move || run_band(band, start, chunk, f));
+                start += take;
+            }
+            run_band(first, 0, chunk, f);
+        });
     }
-    let ranges = even_ranges(len, pool.num_threads() * 4);
-    let f = &f;
-    pool.scope(|s| {
-        for r in ranges {
-            s.spawn(move || {
-                for i in r.start..r.end {
-                    f(start + i);
-                }
-            });
-        }
-    });
 }
 
-/// Parallel iteration over explicit index ranges: `f` receives each
-/// half-open range `[range.start + offset, range.end + offset)` exactly once.
-///
-/// Unlike [`parallel_for`] the caller controls the chunk size, which is the
-/// right interface when each chunk amortises some per-chunk setup (e.g. a
-/// GEMM panel).
-pub fn parallel_for_chunks<F>(len: usize, chunk: usize, f: F)
-where
-    F: Fn(Range) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let pool = global_pool();
-    let ranges = chunk_ranges(len, chunk.max(1));
-    if ranges.len() == 1 || pool.num_threads() == 1 {
-        for r in ranges {
-            f(r);
-        }
-        return;
-    }
-    let f = &f;
-    pool.scope(|s| {
-        for r in ranges {
-            s.spawn(move || f(r));
-        }
-    });
+/// Number of pieces in band `b` when `n_chunks` pieces are split into
+/// `bands` contiguous bands: `n_chunks / bands`, plus one for each of the
+/// first `n_chunks % bands` bands.
+fn band_pieces(n_chunks: usize, bands: usize, b: usize) -> usize {
+    n_chunks / bands + usize::from(b < n_chunks % bands)
 }
 
-/// Apply `f(start_index, chunk)` to disjoint mutable chunks of `data` in
-/// parallel. `start_index` is the index of the first element of the chunk in
-/// the original slice.
+/// Call `f` on each `chunk`-sized piece of `band`, whose first element sits
+/// at index `start` of the caller's slice.
+fn run_band<T, F>(band: &mut [T], start: usize, chunk: usize, f: &F)
+where
+    F: Fn(usize, &mut [T]),
+{
+    for (i, piece) in band.chunks_mut(chunk).enumerate() {
+        f(start + i * chunk, piece);
+    }
+}
+
+/// [`ThreadPool::par_chunks_mut`] on the [`global_pool`].
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let pool = global_pool();
-    if len <= chunk || pool.num_threads() == 1 {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
-            f(ci * chunk, c);
-        }
-        return;
-    }
-    let f = &f;
-    pool.scope(|s| {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
-            s.spawn(move || f(ci * chunk, c));
-        }
-    });
+    global_pool().par_chunks_mut(data, chunk, f);
 }
 
 /// Apply `f(start_index, a_chunk, b_chunk)` to aligned chunks of a mutable
-/// slice `a` and a shared slice `b` in parallel.
+/// slice `a` and a shared slice `b`, scheduled like [`par_chunks_mut`].
 ///
 /// # Panics
 /// Panics if the two slices have different lengths.
@@ -116,133 +102,143 @@ where
         b.len(),
         "par_zip_chunks_mut requires equally sized slices"
     );
-    let len = a.len();
-    if len == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let pool = global_pool();
-    if len <= chunk || pool.num_threads() == 1 {
-        for (ci, ac) in a.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            f(start, ac, &b[start..start + ac.len()]);
-        }
-        return;
-    }
-    let f = &f;
-    pool.scope(|s| {
-        for (ci, ac) in a.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            let bc = &b[start..start + ac.len()];
-            s.spawn(move || f(start, ac, bc));
-        }
+    par_chunks_mut(a, chunk, |start, ac| {
+        f(start, ac, &b[start..start + ac.len()])
     });
-}
-
-/// Compute `f(i)` for every `i in 0..len` in parallel and collect the
-/// results in index order.
-pub fn par_map_collect<T, F>(len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    par_chunks_mut(
-        &mut out,
-        SEQUENTIAL_CUTOFF.min(len.max(1)),
-        |start, chunk| {
-            for (offset, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(f(start + offset));
-            }
-        },
-    );
-    out.into_iter()
-        .map(|x| x.expect("par_map_collect slot not filled"))
-        .collect()
-}
-
-/// Chunked parallel map-reduce over the index range `[0, len)`.
-///
-/// Each chunk `[r.start, r.end)` is mapped to a partial result with `map`,
-/// and the partials are folded *sequentially in chunk order* with `reduce`,
-/// starting from `identity`. Using a deterministic fold order keeps
-/// floating-point reductions reproducible run-to-run for a fixed thread
-/// count and chunk size.
-pub fn parallel_map_reduce<A, M, R>(len: usize, chunk: usize, identity: A, map: M, reduce: R) -> A
-where
-    A: Send,
-    M: Fn(Range) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    if len == 0 {
-        return identity;
-    }
-    let ranges = chunk_ranges(len, chunk.max(1));
-    let pool = global_pool();
-    if ranges.len() == 1 || pool.num_threads() == 1 {
-        let mut acc = identity;
-        for r in ranges {
-            acc = reduce(acc, map(r));
-        }
-        return acc;
-    }
-    let map = &map;
-    let mut partials: Vec<Option<A>> = (0..ranges.len()).map(|_| None).collect();
-    pool.scope(|s| {
-        for (slot, r) in partials.iter_mut().zip(ranges.iter().copied()) {
-            s.spawn(move || {
-                *slot = Some(map(r));
-            });
-        }
-    });
-    let mut acc = identity;
-    for p in partials {
-        acc = reduce(acc, p.expect("parallel_map_reduce partial not filled"));
-    }
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::PoolConfig;
+    use std::sync::Mutex;
+
+    /// The `(start, len)` pairs a sequential `chunks_mut` loop produces.
+    fn sequential_pieces(len: usize, chunk: usize) -> Vec<(usize, usize)> {
+        (0..len)
+            .step_by(chunk)
+            .map(|s| (s, chunk.min(len - s)))
+            .collect()
+    }
+
+    /// One run of `par_chunks_mut` per thread count in {1, 2, 3} and chunk
+    /// count in {1, 2, 3, 63, 64, 65, 4000}, each with a short last chunk.
+    /// Calls `check(label, chunk, data, seen)` with the per-element visit
+    /// counts and the sorted `(start, len)` pairs `f` received.
+    fn for_each_band_split(check: impl Fn(&str, usize, &[u32], &[(usize, usize)])) {
+        for threads in [1, 2, 3] {
+            let pool = ThreadPool::new(PoolConfig::with_threads(threads));
+            for n_chunks in [1usize, 2, 3, 63, 64, 65, 4000] {
+                // Pieces sized so the slice is past the inline threshold,
+                // and a short last piece: the slice ends 7 elements early.
+                let chunk = INLINE_ELEMS.div_ceil(n_chunks) + 8;
+                let len = n_chunks * chunk - 7;
+                let mut data = vec![0u32; len];
+                let seen = Mutex::new(Vec::new());
+                pool.par_chunks_mut(&mut data, chunk, |start, piece| {
+                    seen.lock().unwrap().push((start, piece.len()));
+                    for v in piece.iter_mut() {
+                        *v += 1;
+                    }
+                });
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_unstable();
+                check(&format!("{threads}t {n_chunks}"), chunk, &data, &seen);
+            }
+        }
+    }
 
     #[test]
-    fn parallel_for_touches_every_index_once() {
-        let n = 10_000;
-        let flags: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(0, n, |i| {
-            flags[i].fetch_add(1, Ordering::Relaxed);
+    fn bands_visit_every_element_once() {
+        for_each_band_split(|label, _, data, _| {
+            assert!(data.iter().all(|&v| v == 1), "{label}");
         });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn parallel_for_respects_start_offset() {
-        let hits = AtomicU64::new(0);
-        parallel_for(100, 200, |i| {
-            assert!((100..200).contains(&i));
-            hits.fetch_add(1, Ordering::Relaxed);
+    fn bands_pass_sequential_starts() {
+        for_each_band_split(|label, chunk, data, seen| {
+            let starts: Vec<usize> = seen.iter().map(|&(s, _)| s).collect();
+            let expected: Vec<usize> = sequential_pieces(data.len(), chunk)
+                .into_iter()
+                .map(|(s, _)| s)
+                .collect();
+            assert_eq!(starts, expected, "{label}");
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
     }
 
     #[test]
-    fn parallel_for_empty_range_is_noop() {
-        parallel_for(5, 5, |_| panic!("must not be called"));
-        parallel_for(7, 3, |_| panic!("must not be called"));
+    fn bands_cover_the_slice_in_whole_chunks() {
+        for_each_band_split(|label, chunk, data, seen| {
+            let (last, full) = seen.split_last().unwrap();
+            assert!(full.iter().all(|&(_, len)| len == chunk), "{label}");
+            assert_eq!(last.1, chunk - 7, "{label}");
+            assert_eq!(last.0 + last.1, data.len(), "{label}");
+        });
     }
 
     #[test]
-    fn parallel_for_chunks_covers_range() {
-        let n = 5000;
-        let flags: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_chunks(n, 97, |r| {
-            for i in r.start..r.end {
-                flags[i].fetch_add(1, Ordering::Relaxed);
+    fn even_bands_cover_everything() {
+        for (n_chunks, bands, expected) in [
+            (1, 1, vec![1]),
+            (4, 2, vec![2, 2]),
+            (5, 3, vec![2, 2, 1]),
+            (64, 3, vec![22, 21, 21]),
+            (65, 2, vec![33, 32]),
+        ] {
+            let lens: Vec<usize> = (0..bands)
+                .map(|b| band_pieces(n_chunks, bands, b))
+                .collect();
+            assert_eq!(lens, expected, "{n_chunks} pieces in {bands} bands");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bands_partition_the_domain(n_chunks in 1usize..10_000, threads in 1usize..64) {
+            let bands = threads.min(n_chunks);
+            let lens: Vec<usize> = (0..bands).map(|b| band_pieces(n_chunks, bands, b)).collect();
+            proptest::prop_assert_eq!(lens.iter().sum::<usize>(), n_chunks);
+            proptest::prop_assert!(lens.iter().all(|&l| l >= 1));
+            proptest::prop_assert!(lens.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
+        }
+    }
+
+    #[test]
+    fn dispatch_scales_with_threads_not_rows() {
+        let pool = ThreadPool::new(PoolConfig::with_threads(2));
+        // 64 rows of 1024 columns: well above the inline threshold.
+        let (rows, cols) = (64, 1024);
+        let mut m = vec![1.0f32; rows * cols];
+        let before = pool.jobs_executed();
+        pool.par_chunks_mut(&mut m, cols, |start, row| {
+            for v in row.iter_mut() {
+                *v += start as f32;
             }
         });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
+        let queued = pool.jobs_executed() - before;
+        assert!(
+            queued < pool.num_threads(),
+            "{rows} rows queued {queued} jobs on a {}-thread pool",
+            pool.num_threads()
+        );
+        assert_eq!(m[5 * cols + 3], 1.0 + (5 * cols) as f32);
+    }
+
+    #[test]
+    fn small_slices_run_inline_on_the_caller() {
+        let pool = ThreadPool::new(PoolConfig::with_threads(2));
+        let caller = std::thread::current().id();
+        let mut data = vec![0u8; INLINE_ELEMS - 1];
+        pool.par_chunks_mut(&mut data, 1, |_, _| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+    }
+
+    #[test]
+    fn par_chunks_mut_empty_slice_is_noop() {
+        let mut data: Vec<u8> = Vec::new();
+        par_chunks_mut(&mut data, 4, |_, _| panic!("must not be called"));
     }
 
     #[test]
@@ -278,54 +274,5 @@ mod tests {
         let mut a = vec![0.0f32; 4];
         let b = vec![0.0f32; 5];
         par_zip_chunks_mut(&mut a, &b, 2, |_, _, _| {});
-    }
-
-    #[test]
-    fn par_map_collect_preserves_order() {
-        let out = par_map_collect(2000, |i| i * 3);
-        assert_eq!(out.len(), 2000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 3);
-        }
-    }
-
-    #[test]
-    fn par_map_collect_empty() {
-        let out: Vec<u32> = par_map_collect(0, |_| 1u32);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn map_reduce_sums_match_sequential() {
-        for n in [0usize, 1, 10, 513, 10_000] {
-            let expected: u64 = (0..n as u64).sum();
-            let got = parallel_map_reduce(
-                n,
-                64,
-                0u64,
-                |r| (r.start as u64..r.end as u64).sum::<u64>(),
-                |a, b| a + b,
-            );
-            assert_eq!(got, expected, "n={n}");
-        }
-    }
-
-    #[test]
-    fn map_reduce_fold_order_is_deterministic() {
-        // Build a reduction that is order-sensitive (string concatenation of
-        // chunk starts) and check it is stable across runs.
-        let run = || {
-            parallel_map_reduce(
-                1000,
-                130,
-                String::new(),
-                |r| format!("[{}]", r.start),
-                |a, b| a + &b,
-            )
-        };
-        let first = run();
-        for _ in 0..5 {
-            assert_eq!(run(), first);
-        }
     }
 }

@@ -1,71 +1,33 @@
-//! Property-based tests for the data-parallel substrate: the parallel
-//! helpers must always agree with their sequential counterparts.
+//! Property-based tests for the data-parallel substrate: the band-scheduled
+//! slice helper must always agree with its sequential counterpart.
 
-use bcpnn_parallel::{chunk_ranges, even_ranges, par_map_collect, parallel_map_reduce, Range};
+use bcpnn_parallel::{PoolConfig, ThreadPool};
 use proptest::prelude::*;
-
-fn covers(ranges: &[Range], len: usize) -> bool {
-    let mut next = 0usize;
-    for r in ranges {
-        if r.start != next || r.end <= r.start {
-            return false;
-        }
-        next = r.end;
-    }
-    next == len
-}
+use std::sync::Mutex;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn even_ranges_partition_the_domain(len in 0usize..5000, parts in 1usize..64) {
-        let rs = even_ranges(len, parts);
-        prop_assert!(covers(&rs, len));
-        if len > 0 {
-            let max = rs.iter().map(Range::len).max().unwrap();
-            let min = rs.iter().map(Range::len).min().unwrap();
-            prop_assert!(max - min <= 1);
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_partition_the_domain(len in 0usize..5000, chunk in 1usize..512) {
-        let rs = chunk_ranges(len, chunk);
-        prop_assert!(covers(&rs, len));
-        prop_assert!(rs.iter().all(|r| r.len() <= chunk));
-    }
-
-    #[test]
-    fn par_map_collect_matches_sequential_map(len in 0usize..3000, mult in 1u64..50) {
-        let par: Vec<u64> = par_map_collect(len, |i| i as u64 * mult);
-        let seq: Vec<u64> = (0..len).map(|i| i as u64 * mult).collect();
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn map_reduce_sum_matches_sequential(data in prop::collection::vec(0u32..1000, 0..4000), chunk in 1usize..300) {
-        let expected: u64 = data.iter().map(|&v| v as u64).sum();
-        let got = parallel_map_reduce(
-            data.len(),
-            chunk,
-            0u64,
-            |r| data[r.start..r.end].iter().map(|&v| v as u64).sum::<u64>(),
-            |a, b| a + b,
-        );
-        prop_assert_eq!(expected, got);
-    }
-
-    #[test]
-    fn map_reduce_concat_preserves_order(len in 0usize..500, chunk in 1usize..64) {
-        let expected: Vec<usize> = (0..len).collect();
-        let got = parallel_map_reduce(
-            len,
-            chunk,
-            Vec::new(),
-            |r| (r.start..r.end).collect::<Vec<_>>(),
-            |mut a, b| { a.extend(b); a },
-        );
-        prop_assert_eq!(expected, got);
+    fn par_chunks_mut_matches_sequential_loop(
+        len in 0usize..60_000,
+        chunk in 1usize..3000,
+        threads in 1usize..5,
+    ) {
+        let pool = ThreadPool::new(PoolConfig::with_threads(threads));
+        let mut data = vec![0u32; len];
+        let seen = Mutex::new(Vec::new());
+        pool.par_chunks_mut(&mut data, chunk, |start, piece| {
+            seen.lock().unwrap().push((start, piece.len()));
+            for (k, v) in piece.iter_mut().enumerate() {
+                *v += (start + k) as u32 + 1;
+            }
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        let expected: Vec<(usize, usize)> =
+            (0..len).step_by(chunk).map(|s| (s, chunk.min(len - s))).collect();
+        prop_assert_eq!(seen, expected);
+        prop_assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 }

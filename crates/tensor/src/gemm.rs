@@ -139,44 +139,20 @@ pub fn gemm_blocked<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, 
 
 /// Parallel GEMM: `C = alpha * A·B + beta * C`.
 ///
-/// The output is split into contiguous row bands; each band is computed by
-/// the cache-blocked kernel on a pool worker. Small problems fall back to the
-/// single-threaded blocked kernel.
+/// The output is split into `BLOCK_M`-row panels, each computed by the
+/// cache-blocked kernel; the pool runs one contiguous band of panels per
+/// worker. Small problems, and those that fit in one panel, run inline.
 pub fn gemm<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut Matrix<S>) {
     let (m, k) = a.shape();
     let n = b.cols();
     check_gemm_dims(a, b, c, m, n, k);
-    if m * n * k < PARALLEL_FLOP_CUTOFF || m < 2 {
+    if m * n * k < PARALLEL_FLOP_CUTOFF {
         gemm_blocked(alpha, a, b, beta, c);
         return;
     }
-    let band = BLOCK_M.max(m.div_ceil(bcpnn_parallel::global_pool().num_threads() * 2));
-    let c_data = c.as_mut_slice();
-    // Split C into disjoint row bands and process them in parallel. We hand
-    // each task its own sub-slice of C, so there is no aliasing.
-    let bands: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut start = 0;
-        while start < m {
-            let end = (start + band).min(m);
-            v.push((start, end));
-            start = end;
-        }
-        v
-    };
-    bcpnn_parallel::global_pool().scope(|s| {
-        let mut rest = c_data;
-        let mut consumed = 0usize;
-        for &(r0, r1) in &bands {
-            let take = (r1 - r0) * n;
-            let (panel, tail) = rest.split_at_mut(take);
-            rest = tail;
-            consumed += take;
-            debug_assert_eq!(consumed, r1 * n);
-            s.spawn(move || {
-                gemm_block_panel(alpha, a, b, beta, panel, r0, r1);
-            });
-        }
+    bcpnn_parallel::par_chunks_mut(c.as_mut_slice(), BLOCK_M * n, |start, panel| {
+        let r0 = start / n;
+        gemm_block_panel(alpha, a, b, beta, panel, r0, r0 + panel.len() / n);
     });
 }
 
